@@ -8,7 +8,7 @@ CACHE_BENCH_JSON := .bench_cache.json
 SCHED_BENCH_JSON := .bench_sched.json
 
 .PHONY: test bench bench-check bench-baseline decode-bench transport-bench \
-	cache-bench sched-bench fault-check help
+	cache-bench sched-bench bench-e2e-smoke fault-check help
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -18,6 +18,7 @@ test:
 help:
 	@echo "targets: test fault-check bench bench-check bench-baseline"
 	@echo "         decode-bench transport-bench cache-bench sched-bench"
+	@echo "         bench-e2e-smoke"
 	@echo ""
 	@$(PYTHON) benchmarks/check_regression.py --list
 
@@ -87,3 +88,12 @@ sched-bench:
 		--benchmark-disable-gc --benchmark-json=$(SCHED_BENCH_JSON) -q
 	$(PYTHON) benchmarks/check_regression.py $(SCHED_BENCH_JSON) \
 		--only sched_stealing
+
+# End-to-end benchmark smoke (benchmarks/e2e, the BENCHMARK.json
+# contract): all four workloads at tiny sizes, then the benchmark's own
+# tests. The only gate that runs test_layer_budget_closes, i.e. the
+# guard that a num_workers=0 epoch stays the strictly serial reference
+# the per-layer budget is closed against (DESIGN.md §13).
+bench-e2e-smoke:
+	$(PYTHON) -m benchmarks.e2e --smoke
+	$(PYTHON) -m pytest benchmarks/e2e/test_bench_e2e.py -q

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import time
+from collections import deque
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.lotustrace.context import (
@@ -23,6 +24,11 @@ from repro.errors import DataLoaderError
 from repro.imaging.image import Image, load_rgb_batch
 
 LOADER_OP_NAME = "Loader"
+
+#: Read-ahead byte budget per worker (DESIGN.md §13): a further read is
+#: submitted only while fewer than this many bytes are in flight. Bytes,
+#: not a count, because blob sizes are heavy-tailed.
+READ_AHEAD_BYTES = 1 << 20
 
 
 class Dataset:
@@ -235,11 +241,52 @@ class BlobImageDataset(_LoaderLogging, Dataset):
         self._init_loader_log(log_file)
 
     def __getitem__(self, index: int) -> Tuple[Any, int]:
-        blob = self._blobs[index]
+        return self._decode(index, self._blobs[index])
+
+    def _decode(self, index: int, blob: bytes) -> Tuple[Any, int]:
         image = self._timed_load(lambda: self.loader(blob))
         if self.transform is not None:
             image = self.transform(image)
         return image, self._labels[index]
+
+    def __getitems__(self, indices: Sequence[int]) -> List[Tuple[Any, int]]:
+        """Bulk ``[self[i] for i in indices]`` (PyTorch's protocol) that
+        overlaps storage reads with decode (DESIGN.md §13).
+
+        Over a store with ``begin_read``/``finish_read`` the batch's
+        reads are submitted ahead of the decode, chained one behind the
+        other (one read on the wire) within :data:`READ_AHEAD_BYTES`,
+        and sample ``k`` is decoded while read ``k+1`` transfers.
+        Samples are still finished, decoded and transformed strictly in
+        order, so records, RNG draws and pixels match the plain loop —
+        which is what any other store, or a subclass with its own
+        ``__getitem__``, gets.
+        """
+        store = self._blobs
+        if (
+            not hasattr(store, "begin_read")
+            or type(self).__getitem__ is not BlobImageDataset.__getitem__
+        ):
+            return [self[index] for index in indices]
+        samples = []
+        pending: deque = deque()
+        bytes_ahead = 0
+        submitted = 0
+        tail = None
+        for index in indices:
+            # ``len(pending) < 2``: whatever the sizes, the next read is
+            # on the wire while this sample decodes.
+            while submitted < len(indices) and (
+                len(pending) < 2 or bytes_ahead < READ_AHEAD_BYTES
+            ):
+                tail = store.begin_read(indices[submitted], after=tail)
+                pending.append(tail)
+                bytes_ahead += len(tail.blob)
+                submitted += 1
+            handle = pending.popleft()
+            bytes_ahead -= len(handle.blob)
+            samples.append(self._decode(index, store.finish_read(handle)))
+        return samples
 
     def load_untransformed(self, index: int) -> Tuple[Any, int]:
         """(image, label) with the Loader timed but the transform

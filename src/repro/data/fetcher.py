@@ -177,9 +177,15 @@ class _MapDatasetFetcher(_BaseDatasetFetcher):
         batched: Optional[bool] = None,
         reuse_buffers: bool = False,
         buffer_depth: int = 1,
+        read_ahead: bool = False,
     ) -> None:
         super().__init__(dataset, collate_fn)
         self._batched = batched
+        # The dataset's bulk form of the per-sample loop (DESIGN.md §13),
+        # resolved once; None keeps ``[dataset[i] for i in indices]``.
+        self._getitems = (
+            getattr(dataset, "__getitems__", None) if read_ahead else None
+        )
         self._plan: Optional[_BatchExecutionPlan] = None
         if batched is not False:
             self._plan = _BatchExecutionPlan.resolve(
@@ -206,7 +212,10 @@ class _MapDatasetFetcher(_BaseDatasetFetcher):
             self._advance_cache_batch()
         if self._use_batched():
             return self._plan.fetch(indices)
-        samples = [self.dataset[index] for index in indices]
+        if self._getitems is not None:
+            samples = self._getitems(indices)
+        else:
+            samples = [self.dataset[index] for index in indices]
         return self.collate_fn(samples)
 
 
@@ -237,6 +246,7 @@ def create_fetcher(
     batched: Optional[bool] = None,
     reuse_buffers: bool = False,
     buffer_depth: int = 1,
+    read_ahead: bool = False,
 ) -> _BaseDatasetFetcher:
     """Pick the fetcher class matching the dataset style.
 
@@ -246,7 +256,10 @@ def create_fetcher(
     scheduler-governed ``batch_buffer_depth`` (DESIGN.md §12): the arena
     must cycle at least as many generations as batches this worker can
     have in flight, which stealing/adaptive dispatch widens beyond the
-    static ``prefetch_factor + 2``.
+    static ``prefetch_factor + 2``. ``read_ahead`` lets the per-sample
+    branch use the dataset's ``__getitems__`` (overlapping store reads
+    with decode, DESIGN.md §13); only workers pass it, so
+    ``num_workers=0`` stays the strictly serial reference.
     """
     if buffer_depth < 1:
         raise DataLoaderError(
@@ -261,6 +274,7 @@ def create_fetcher(
             batched=batched,
             reuse_buffers=reuse_buffers,
             buffer_depth=buffer_depth,
+            read_ahead=read_ahead,
         )
     raise DataLoaderError(
         f"dataset {type(dataset)!r} is neither map-style nor iterable"

@@ -86,9 +86,10 @@ def build_ic_pipeline(
 
     ``remote_latency_s``/``remote_bandwidth_mb_s`` put the blobs behind a
     :class:`~repro.datasets.filestore.SimulatedRemoteStore`, modeling the
-    paper's iSCSI-mounted dataset: the Loader then includes remote read
-    time that extra DataLoader workers can overlap (the Figure 6 worker
-    sweep).
+    paper's iSCSI-mounted dataset. The blob is read *before* the timed
+    load, so the ``Loader`` [T3] record is decode only and the store wait
+    is ``[T1] − Σ[T3]`` of a batch; workers overlap it with decode and
+    with each other (DESIGN.md §13; the Figure 6 worker sweep).
     """
     if dataset is None:
         dataset = SyntheticImageNet(profile.ic_images, seed=seed)
