@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 import time
 from collections import deque
+from functools import partial
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.lotustrace.context import (
@@ -89,12 +90,27 @@ def _resolve_batch_loader(loader: Callable) -> Optional[Callable]:
 
 
 class _LoaderLogging:
-    """Mixin handling the instrumented Loader timing."""
+    """Mixin owning the dataset's loader and the instrumented Loader timing."""
+
+    @property
+    def loader(self) -> Callable:
+        return self._loader
+
+    @loader.setter
+    def loader(self, loader: Callable) -> None:
+        self._loader = loader
+        #: The loader's bulk form (or None), resolved whenever the loader
+        #: is set (the DataLoader wraps it for ``cache=``), never per batch.
+        self.batch_loader = _resolve_batch_loader(loader)
 
     def _init_loader_log(
         self, log_file: Union[PathLike, TraceSink, None]
     ) -> None:
         self._sink: Optional[TraceSink] = open_trace_log(log_file)
+
+    def _batch_sources(self, indices: Sequence[int]) -> Tuple[List[Any], List[Any]]:
+        """(loader sources, labels) of a batch; reading them is not Loader time."""
+        raise NotImplementedError
 
     def _timed_load(self, load: Callable[[], Any]) -> Any:
         sink = self._sink
@@ -116,16 +132,43 @@ class _LoaderLogging:
         )
         return sample
 
-    def _timed_load_batch(self, load: Callable[[], Any]) -> Any:
-        """One Loader [T3] record for a whole-batch load, carrying the
-        real batch id from the ambient ``batch_scope`` (the duration is
-        what the per-sample path's N records would sum to)."""
+    def load_untransformed_batch(
+        self, indices: Sequence[int], draw_boxes: Optional[Callable] = None
+    ) -> Optional[List[Tuple[Any, Any]]]:
+        """Whole-batch ``(image, label)`` load through the loader's bulk
+        form, or None when the loader has no bulk form (the fetcher then
+        takes the per-sample loop).
+
+        Writes one Loader [T3] record carrying the real batch id from the
+        ambient ``batch_scope`` (its duration is what the per-sample
+        path's N records would sum to). ``draw_boxes(labels, widths,
+        heights)`` is :func:`load_rgb_batch`'s crop hook with the batch's
+        labels bound first (DESIGN.md §14); the time spent inside it is
+        left out of the Loader record, because the transform that owns
+        the boxes reports it.
+        """
+        batch_loader = self.batch_loader
+        if batch_loader is None:
+            return None
+        sources, labels = self._batch_sources(indices)
+        drawn_ns = 0
+        load = partial(batch_loader, sources)
+        if draw_boxes is not None:
+
+            def hook(widths, heights):
+                nonlocal drawn_ns
+                begin = time.time_ns()
+                boxes = draw_boxes(labels, widths, heights)
+                drawn_ns = time.time_ns() - begin
+                return boxes
+
+            load = partial(batch_loader, sources, hook)
         sink = self._sink
         if sink is None:
-            return load()
+            return list(zip(load(), labels))
         start = time.time_ns()
-        samples = load()
-        duration = time.time_ns() - start
+        images = load()
+        duration = time.time_ns() - start - drawn_ns
         sink.write(
             TraceRecord(
                 kind=KIND_OP,
@@ -137,7 +180,7 @@ class _LoaderLogging:
                 duration_ns=duration,
             )
         )
-        return samples
+        return list(zip(images, labels))
 
 
 class ImageFolder(_LoaderLogging, Dataset):
@@ -192,21 +235,9 @@ class ImageFolder(_LoaderLogging, Dataset):
         path, label = self.samples[index]
         return self._timed_load(lambda: self.loader(path)), label
 
-    def load_untransformed_batch(
-        self, indices: Sequence[int]
-    ) -> Optional[List[Tuple[Any, int]]]:
-        """Whole-batch load through the loader's bulk form, or None when
-        the loader has no bulk form (the fetcher then takes the
-        per-sample loop)."""
-        batch_loader = _resolve_batch_loader(self.loader)
-        if batch_loader is None:
-            return None
-        paths = [self.samples[index][0] for index in indices]
-        images = self._timed_load_batch(lambda: batch_loader(paths))
-        return [
-            (image, self.samples[index][1])
-            for image, index in zip(images, indices)
-        ]
+    def _batch_sources(self, indices: Sequence[int]) -> Tuple[List[Any], List[Any]]:
+        samples = [self.samples[index] for index in indices]
+        return [path for path, _ in samples], [label for _, label in samples]
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -294,21 +325,11 @@ class BlobImageDataset(_LoaderLogging, Dataset):
         blob = self._blobs[index]
         return self._timed_load(lambda: self.loader(blob)), self._labels[index]
 
-    def load_untransformed_batch(
-        self, indices: Sequence[int]
-    ) -> Optional[List[Tuple[Any, int]]]:
-        """Whole-batch load through the loader's bulk form, or None when
-        the loader has no bulk form (the fetcher then takes the
-        per-sample loop)."""
-        batch_loader = _resolve_batch_loader(self.loader)
-        if batch_loader is None:
-            return None
-        blobs = [self._blobs[index] for index in indices]
-        images = self._timed_load_batch(lambda: batch_loader(blobs))
-        return [
-            (image, self._labels[index])
-            for image, index in zip(images, indices)
-        ]
+    def _batch_sources(self, indices: Sequence[int]) -> Tuple[List[Any], List[Any]]:
+        return (
+            [self._blobs[index] for index in indices],
+            [self._labels[index] for index in indices],
+        )
 
     def __len__(self) -> int:
         return len(self._blobs)

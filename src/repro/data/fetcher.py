@@ -32,12 +32,13 @@ from repro.core.lotustrace.context import (
 from repro.core.lotustrace.records import COLLATION_OP_NAME, KIND_OP, TraceRecord
 from repro.data.dataset import Dataset, IterableDataset
 from repro.errors import DataLoaderError
-from repro.imaging.image import Image
+from repro.imaging.image import Image, load_rgb_batch
 from repro.tensor.batchbuffer import BatchBuffer
 from repro.tensor.collate import default_collate
 from repro.tensor.tensor import Tensor
 from repro.transforms.batch import ENGINE_BATCHED, BatchCompose, current_batch_engine
 from repro.transforms.compose import Compose
+from repro.transforms.vision import RandomResizedCrop
 
 
 class _BaseDatasetFetcher:
@@ -49,6 +50,10 @@ class _BaseDatasetFetcher:
         raise NotImplementedError
 
 
+def _batchable_label(label: Any) -> bool:
+    return isinstance(label, (int, np.integer))
+
+
 class _BatchExecutionPlan:
     """Everything the batched fast path needs, resolved once per fetcher.
 
@@ -58,6 +63,11 @@ class _BatchExecutionPlan:
     the batch engine cannot represent (undecoded/grayscale images,
     non-integer labels), reusing the already-loaded images so the Loader
     runs — and is traced — exactly once either way.
+
+    In a worker (``in_worker``), a chain headed by RandomResizedCrop over
+    the stock bulk loader takes the fused decode-and-crop path (DESIGN.md
+    §14): the boxes are drawn from RRC's stream before the decode, each
+    image is decoded only inside its box, and RRC then only resizes.
     """
 
     def __init__(
@@ -67,11 +77,22 @@ class _BatchExecutionPlan:
         collate_fn: Callable,
         reuse_buffers: bool,
         buffer_depth: int,
+        in_worker: bool,
     ) -> None:
-        self.dataset = dataset
         self._compose = compose
         self._collate_fn = collate_fn
-        self._batch_compose = BatchCompose(compose)
+        self._load_one = dataset.load_untransformed
+        self._load_batch = getattr(dataset, "load_untransformed_batch", None)
+        self._head = compose.transforms[0]
+        self._fused = (
+            in_worker
+            and type(self._head) is RandomResizedCrop
+            and getattr(dataset, "batch_loader", None) is load_rgb_batch
+        )
+        self._batch_compose = BatchCompose(
+            compose, head=self._head.batch_apply_cropped if self._fused else None
+        )
+        self._draw_ns = 0  # the current batch's box-draw time (fused path)
         self.arena = BatchBuffer(reuse=reuse_buffers, depth=buffer_depth)
         # The Collation record goes to the same sink the instrumented
         # collate would use; duck-typed to avoid importing the dataloader
@@ -85,6 +106,7 @@ class _BatchExecutionPlan:
         collate_fn: Callable,
         reuse_buffers: bool,
         buffer_depth: int,
+        in_worker: bool,
     ) -> Optional["_BatchExecutionPlan"]:
         if not hasattr(dataset, "load_untransformed"):
             return None
@@ -97,7 +119,7 @@ class _BatchExecutionPlan:
         unwrapped = getattr(collate_fn, "_collate_fn", collate_fn)
         if unwrapped is not default_collate:
             return None
-        return cls(dataset, compose, collate_fn, reuse_buffers, buffer_depth)
+        return cls(dataset, compose, collate_fn, reuse_buffers, buffer_depth, in_worker)
 
     @staticmethod
     def _batchable(samples: List[Any]) -> bool:
@@ -112,22 +134,32 @@ class _BatchExecutionPlan:
                 return False
             if image.mode != "RGB":
                 return False
-            if not isinstance(label, (int, np.integer)):
+            if not _batchable_label(label):
                 return False
         return True
+
+    def _draw_boxes(self, labels, widths, heights):
+        """The fused load's crop hook. Labels are checked before any box
+        is drawn, so a batch that falls back to the per-sample chain gets
+        whole images and finds RRC's stream untouched."""
+        if not all(_batchable_label(label) for label in labels):
+            return None
+        start = time.time_ns()
+        boxes = self._head.draw_boxes(widths, heights)
+        self._draw_ns = time.time_ns() - start
+        return boxes
 
     def fetch(self, indices: Sequence[int]) -> Any:
         # Whole-batch load first: one stacked decode pass and one Loader
         # record per batch. Datasets (or loaders) without a bulk form
         # return None and keep the per-sample load loop.
         samples = None
-        load_batch = getattr(self.dataset, "load_untransformed_batch", None)
-        if load_batch is not None:
-            samples = load_batch(indices)
+        if self._fused:
+            samples = self._load_batch(indices, self._draw_boxes)
+        elif self._load_batch is not None:
+            samples = self._load_batch(indices)
         if samples is None:
-            samples = [
-                self.dataset.load_untransformed(index) for index in indices
-            ]
+            samples = [self._load_one(index) for index in indices]
         if not self._batchable(samples):
             # Per-sample fallback over the *already loaded* images: the
             # transforms run in the oracle's order (preserving RNG
@@ -138,7 +170,7 @@ class _BatchExecutionPlan:
             return self._collate_fn(transformed)
         self.arena.advance()
         images = [image for image, _ in samples]
-        batch = self._batch_compose(images, self.arena)
+        batch = self._batch_compose(images, self.arena, head_ns=self._draw_ns)
         # Final assembly is this path's collation: label writeout plus
         # the Tensor wraps (the image batch itself was already written
         # in place by the transform chain).
@@ -177,19 +209,19 @@ class _MapDatasetFetcher(_BaseDatasetFetcher):
         batched: Optional[bool] = None,
         reuse_buffers: bool = False,
         buffer_depth: int = 1,
-        read_ahead: bool = False,
+        in_worker: bool = False,
     ) -> None:
         super().__init__(dataset, collate_fn)
         self._batched = batched
         # The dataset's bulk form of the per-sample loop (DESIGN.md §13),
         # resolved once; None keeps ``[dataset[i] for i in indices]``.
         self._getitems = (
-            getattr(dataset, "__getitems__", None) if read_ahead else None
+            getattr(dataset, "__getitems__", None) if in_worker else None
         )
         self._plan: Optional[_BatchExecutionPlan] = None
         if batched is not False:
             self._plan = _BatchExecutionPlan.resolve(
-                dataset, collate_fn, reuse_buffers, buffer_depth
+                dataset, collate_fn, reuse_buffers, buffer_depth, in_worker
             )
         # Shared decoded-sample cache (DESIGN.md §11): the caching loader
         # pins arena entries it hands out and releases them a fixed
@@ -246,7 +278,7 @@ def create_fetcher(
     batched: Optional[bool] = None,
     reuse_buffers: bool = False,
     buffer_depth: int = 1,
-    read_ahead: bool = False,
+    in_worker: bool = False,
 ) -> _BaseDatasetFetcher:
     """Pick the fetcher class matching the dataset style.
 
@@ -256,10 +288,14 @@ def create_fetcher(
     scheduler-governed ``batch_buffer_depth`` (DESIGN.md §12): the arena
     must cycle at least as many generations as batches this worker can
     have in flight, which stealing/adaptive dispatch widens beyond the
-    static ``prefetch_factor + 2``. ``read_ahead`` lets the per-sample
-    branch use the dataset's ``__getitems__`` (overlapping store reads
-    with decode, DESIGN.md §13); only workers pass it, so
-    ``num_workers=0`` stays the strictly serial reference.
+    static ``prefetch_factor + 2``.
+
+    ``in_worker`` arms the two worker-only rewrites: the per-sample
+    branch reads ahead through the dataset's ``__getitems__`` (DESIGN.md
+    §13), and the batched branch fuses RandomResizedCrop into the decode
+    (§14). Only ``worker_loop`` passes it, so ``num_workers=0`` stays the
+    strictly serial, unfused reference — the parity oracle, and what the
+    benchmark's per-layer budget is closed against.
     """
     if buffer_depth < 1:
         raise DataLoaderError(
@@ -274,7 +310,7 @@ def create_fetcher(
             batched=batched,
             reuse_buffers=reuse_buffers,
             buffer_depth=buffer_depth,
-            read_ahead=read_ahead,
+            in_worker=in_worker,
         )
     raise DataLoaderError(
         f"dataset {type(dataset)!r} is neither map-style nor iterable"

@@ -254,7 +254,7 @@ def worker_loop(
             batched=batched_execution,
             reuse_buffers=reuse_batch_buffers,
             buffer_depth=batch_buffer_depth,
-            read_ahead=True,
+            in_worker=True,
         )
         transport = create_worker_transport(
             transport_spec, worker_id, restart_generation, cancel_flag

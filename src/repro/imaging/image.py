@@ -9,7 +9,7 @@ the paper attributes decode cost to the *Loader* operation.
 from __future__ import annotations
 
 import os
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -185,7 +185,8 @@ class Image:
 
 
 def load_rgb_batch(
-    sources: Sequence[Union[str, bytes, os.PathLike]]
+    sources: Sequence[Union[str, bytes, os.PathLike]],
+    draw_boxes: Optional[Callable] = None,
 ) -> List[Image]:
     """Open + decode a whole batch of SJPG sources to RGB images.
 
@@ -194,6 +195,13 @@ def load_rgb_batch(
     stacked kernel passes, then each image takes the same unpack +
     Pillow-copy finishing steps ``convert`` makes — so every returned
     image is bit-identical to its per-sample counterpart (DESIGN.md §9).
+
+    ``draw_boxes(widths, heights)`` fuses a crop into the decode
+    (DESIGN.md §14): it is called once with every image's true size,
+    read from the headers, and returns one ``(left, upper, right,
+    lower)`` box per image; each image is then decoded only inside its
+    box, bit-identical to ``convert("RGB")`` followed by ``crop(box)``.
+    A hook that returns None gets whole images.
     """
     blobs: List[bytes] = []
     for source in sources:
@@ -202,8 +210,18 @@ def load_rgb_batch(
                 blobs.append(handle.read())
         else:
             blobs.append(bytes(source))
+    boxes = None
+    if draw_boxes is not None:
+        sizes = np.array(
+            [codec.peek_header(blob).size for blob in blobs], dtype=np.int64
+        ).reshape(-1, 2)
+        boxes = draw_boxes(sizes[:, 0], sizes[:, 1])
+    if boxes is None:
+        decoded = codec.decode_sjpg_batch(blobs)
+    else:
+        decoded = [codec.decode_sjpg_roi(blob, box) for blob, box in zip(blobs, boxes)]
     images = []
-    for rgb in codec.decode_sjpg_batch(blobs):
+    for rgb in decoded:
         rgb = kernels.imaging_unpack_rgb((rgb[..., 0], rgb[..., 1], rgb[..., 2]))
         rgb = kernels.pillow_copy(rgb)
         images.append(Image(np.ascontiguousarray(rgb), mode="RGB"))

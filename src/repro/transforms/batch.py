@@ -35,7 +35,7 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from typing import Iterator, List, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -249,14 +249,29 @@ class BatchCompose:
     transform, i.e. what the oracle's N per-sample records sum to), with
     the real batch id from the ambient :func:`batch_scope` instead of the
     -1 placeholder that analysis recovers by span containment.
+
+    ``head`` replaces the first transform's ``batch_apply`` while its
+    record keeps that transform's name: the fused decode-and-crop path
+    runs RandomResizedCrop's resize alone on images the decode already
+    cropped (DESIGN.md §14).
     """
 
-    def __init__(self, compose) -> None:
+    def __init__(self, compose, head: Optional[Callable] = None) -> None:
         if not self.supports(compose):
             raise ReproError(
                 f"transform chain does not support batched execution: {compose!r}"
             )
         self._compose = compose
+        # (record name, batch_apply) per transform, resolved once.
+        self._stages = [
+            (
+                getattr(transform, "lotus_op_name", None) or type(transform).__name__,
+                transform.batch_apply,
+            )
+            for transform in compose.transforms
+        ]
+        if head is not None:
+            self._stages[0] = (self._stages[0][0], head)
 
     @staticmethod
     def supports(compose) -> bool:
@@ -278,34 +293,38 @@ class BatchCompose:
             s == STAGE_TENSOR for s in stages[pivot + 1 :]
         )
 
-    def __call__(self, images: Sequence, arena: BatchBuffer) -> np.ndarray:
+    def __call__(
+        self, images: Sequence, arena: BatchBuffer, head_ns: int = 0
+    ) -> np.ndarray:
         """Run the chain over decoded images; returns the (N, C, H, W)
-        float32 tensor batch (backed by the arena)."""
+        float32 tensor batch (backed by the arena). ``head_ns`` is work
+        the first transform did before this call (the fused path's box
+        draw); its record covers it, ending where the stage ends."""
         batch = ImageBatch.from_arrays([image.to_array() for image in images])
         sink = self._compose.log_sink
         if sink is None:
-            for transform in self._compose.transforms:
-                batch = transform.batch_apply(batch, arena)
+            for _, apply in self._stages:
+                batch = apply(batch, arena)
             return batch.require_chw()
         pid = current_pid()
         worker_id = current_worker_id()
         batch_id = current_batch_id()
-        for transform in self._compose.transforms:
+        for name, apply in self._stages:
             start = time.time_ns()
-            batch = transform.batch_apply(batch, arena)
-            duration = time.time_ns() - start
+            batch = apply(batch, arena)
+            duration = time.time_ns() - start + head_ns
             sink.write(
                 TraceRecord(
                     kind=KIND_OP,
-                    name=getattr(transform, "lotus_op_name", None)
-                    or type(transform).__name__,
+                    name=name,
                     batch_id=batch_id,
                     worker_id=worker_id,
                     pid=pid,
-                    start_ns=start,
+                    start_ns=start - head_ns,
                     duration_ns=duration,
                 )
             )
+            head_ns = 0
         return batch.require_chw()
 
     def __repr__(self) -> str:

@@ -8,7 +8,7 @@ Normalize (and plain Resize for the detection pipeline).
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -113,28 +113,35 @@ class RandomResizedCrop(RandomTransform):
 
     batch_stage = batch.STAGE_IMAGE
 
-    def batch_apply(self, batch_in, arena):
-        """Crop+resize all N images in one fused pass.
+    def draw_boxes(
+        self, widths: Sequence[int], heights: Sequence[int]
+    ) -> List[Tuple[int, int, int, int]]:
+        """One crop box per image, drawn *in sample order*.
 
-        Boxes are drawn per sample *in sample order* before any pixel
-        work: this transform owns its own RNG stream, so drawing its N
-        parameter sets up front consumes that stream exactly as the
-        interleaved per-sample loop does (DESIGN.md §7).
+        This transform owns its own RNG stream, so drawing N parameter
+        sets up front consumes that stream exactly as the interleaved
+        per-sample loop does (DESIGN.md §7) — which is what lets the
+        fused decode draw them before any pixel exists (§14).
         """
+        return [self._sample_box(int(w), int(h)) for w, h in zip(widths, heights)]
+
+    def batch_apply(self, batch_in, arena):
+        """Crop+resize all N images in one fused pass."""
         widths, heights = batch_in.image_sizes()
-        boxes = [
-            self._sample_box(int(widths[i]), int(heights[i]))
-            for i in range(batch_in.n)
-        ]
-        lefts = np.array([b[0] for b in boxes], dtype=np.int64)
-        tops = np.array([b[1] for b in boxes], dtype=np.int64)
-        crop_ws = np.array([b[2] - b[0] for b in boxes], dtype=np.int64)
-        crop_hs = np.array([b[3] - b[1] for b in boxes], dtype=np.int64)
+        boxes = np.array(self.draw_boxes(widths, heights), dtype=np.int64)
+        lefts, tops, rights, lowers = boxes.reshape(-1, 4).T
         crops = kernels.imaging_crop(
-            batch_in.image_arrays(), tops, lefts, crop_hs, crop_ws
+            batch_in.image_arrays(), tops, lefts, lowers - tops, rights - lefts
         )
+        return self.batch_apply_cropped(batch.ImageBatch.from_arrays(crops), arena)
+
+    def batch_apply_cropped(self, batch_in, arena):
+        """:meth:`batch_apply` for images already cropped to the boxes
+        :meth:`draw_boxes` returned (the fused decode's output): the
+        resize alone."""
+        widths, heights = batch_in.image_sizes()
         resized = batch.batch_resample(
-            crops, crop_ws, crop_hs, self.size, arena, key="rrc"
+            batch_in.image_arrays(), widths, heights, self.size, arena, key="rrc"
         )
         return batch.ImageBatch("chw8", stack=resized)
 

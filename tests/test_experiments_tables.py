@@ -88,11 +88,20 @@ class TestTable2:
         assert {"Loader", "RandBalancedCrop", "RandomFlip", "Cast",
                 "RandomBrightnessAugmentation", "GaussianNoise", "Collation"} <= ops
 
-    def test_ic_loader_dominates(self, table2):
-        """Paper: Loader is IC's most expensive op, then RRC."""
-        rows = {row.op: row for row in table2.pipelines["IC"]}
-        assert rows["Loader"].avg_ms > rows["RandomResizedCrop"].avg_ms
-        assert rows["RandomResizedCrop"].avg_ms > rows["RandomHorizontalFlip"].avg_ms
+    def test_ic_op_counts(self, table2):
+        """One record per sample per op, one Collation per batch. The
+        paper's Loader > RRC > RHF time ordering is a wall-clock shape:
+        benchmarks/bench_table2_op_times.py asserts it, with a retry."""
+        counts = {row.op: row.count for row in table2.pipelines["IC"]}
+        n = SMOKE.ic_images
+        assert counts == {
+            "Loader": n,
+            "RandomResizedCrop": n,
+            "RandomHorizontalFlip": n,
+            "ToTensor": n,
+            "Normalize": n,
+            "Collation": -(-n // SMOKE.ic_batch_size),
+        }
 
     def test_rhf_mostly_sub_100us(self, table2):
         """Paper: 98.3% of IC RandomHorizontalFlip runs are under 100us."""
