@@ -22,6 +22,7 @@ from repro.clib.events import (
     CallEvent,
     EventRecorder,
     active_native_threads,
+    armed,
     attach_recorder,
     current_native_function,
     detach_recorder,
@@ -44,6 +45,7 @@ __all__ = [
     "NativeRegistry",
     "SharedLibrary",
     "active_native_threads",
+    "armed",
     "attach_recorder",
     "current_native_function",
     "default_registry",

@@ -12,12 +12,12 @@ thread. That keeps the paper's sampling pathologies — short functions
 missed with probability ``(1 - f/s)`` per run, skid misattribution across
 operation boundaries — while making experiments deterministic.
 
-Recording is lock-free on the hot path: :func:`native_span` reads an
-immutable snapshot tuple of attached recorders (no global lock), and each
-recorder appends to an unlocked per-thread buffer (CPython list appends
-are atomic under the GIL). The per-thread buffers are merged and sorted
-only when :meth:`EventRecorder.events` is called, so the per-call cost of
-an attached recorder is one thread-local lookup plus one list append.
+Instrumentation is attach-on-demand: while no recorder is attached
+(:func:`armed` is false) a native call only pushes and pops the stack.
+Armed calls run in :func:`native_span`, which reads an immutable snapshot
+of the attached recorders; each appends to an unlocked per-thread buffer
+(list appends are atomic under the GIL), merged and sorted only when
+:meth:`EventRecorder.events` is called.
 """
 
 from __future__ import annotations
@@ -155,6 +155,13 @@ def detach_recorder(recorder: EventRecorder) -> None:
             recorder._attached = False
 
 
+def armed() -> bool:
+    """Whether a recorder is attached. Work that exists only to be seen
+    by one (call events, the entropy decoder's refill windows) runs only
+    while this is true."""
+    return bool(_recorders)
+
+
 def _thread_stack() -> List[Tuple[str, str]]:
     stack = getattr(_state, "stack", None)
     if stack is None:
@@ -184,10 +191,10 @@ def native_span(function: str, library: str) -> Iterator[None]:
 
     Pushes the per-thread native stack, counts toward the concurrency
     level, and emits a :class:`CallEvent` to attached recorders on exit.
-    The fast path (no recorder attached) is a list push/pop, an int
-    increment, and two ``time.time_ns()`` calls; with recorders attached,
+    An outermost call takes ``_active_lock`` twice to keep the count;
     fan-out reads the immutable recorder snapshot and appends to each
-    recorder's per-thread buffer without taking any lock.
+    recorder's per-thread buffer without a lock. ``@native`` calls enter
+    it only while :func:`armed`.
     """
     global _active_count
     stack = _thread_stack()

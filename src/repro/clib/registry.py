@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.clib.costmodel import BALANCED, CostSignature
-from repro.clib.events import native_span
+from repro.clib.events import _thread_stack, armed, native_span
 
 # Canonical shared-library names, mirroring Table I of the paper.
 LIBJPEG = "libjpeg.so.9"
@@ -39,9 +39,9 @@ class SharedLibrary:
 class NativeFunction:
     """A Python callable posing as a C/C++ function in a shared library.
 
-    Calling it runs the wrapped Python implementation inside a
-    :func:`~repro.clib.events.native_span`, so the call is visible to the
-    per-thread native stack and to any attached event recorder.
+    A call pushes the per-thread native stack; only while a recorder is
+    attached does it run inside a :func:`~repro.clib.events.native_span`,
+    which also counts concurrency and records a call event.
     """
 
     def __init__(
@@ -56,6 +56,7 @@ class NativeFunction:
         self._func = func
         self.name = name
         self.library = library
+        self._frame = (name, library)
         self.signature = signature
         self.vendors = frozenset(vendors)
         # Per-vendor (symbol, library) identities: the same kernel resolves
@@ -67,8 +68,15 @@ class NativeFunction:
         functools.update_wrapper(self, func)
 
     def __call__(self, *args, **kwargs):
-        with native_span(self.name, self.library):
+        if armed():
+            with native_span(self.name, self.library):
+                return self._func(*args, **kwargs)
+        stack = _thread_stack()
+        stack.append(self._frame)
+        try:
             return self._func(*args, **kwargs)
+        finally:
+            stack.pop()
 
     def visible_to(self, vendor: str) -> bool:
         """Whether this function appears in ``vendor`` profiles.

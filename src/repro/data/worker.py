@@ -346,6 +346,11 @@ def worker_loop(
                 # exactly like a real crash — process workers exit hard,
                 # thread workers fall off the loop.
                 if is_process_worker:
+                    # Let the feeder thread finish what was already put:
+                    # exiting mid-write leaves the queue's shared write
+                    # lock held, and every other writer blocks on it.
+                    data_queue.close()
+                    data_queue.join_thread()
                     os._exit(1)
                 return
             except Exception as exc:  # ship to main process, keep serving

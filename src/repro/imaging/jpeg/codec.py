@@ -141,8 +141,10 @@ def peek_header(blob: bytes) -> SjpgHeader:
 
 
 def _decode_plane_payload(
-    blob: bytes, offset: int
+    blob: bytes, offset: int, window=None
 ) -> "tuple[np.ndarray, tuple[int, int], int]":
+    """Entropy-decode a plane; ``window = (row0, row1, col0, col1)``
+    keeps only those block rows and columns."""
     if offset + _PLANE_HEADER.size > len(blob):
         raise CodecError("truncated SJPG plane header")
     ph, pw, payload_len = _PLANE_HEADER.unpack_from(blob, offset)
@@ -153,7 +155,8 @@ def _decode_plane_payload(
         raise CodecError(f"corrupt SJPG plane dimensions: {ph}x{pw}")
     payload = blob[offset : offset + payload_len]
     n_blocks = (ph // BLOCK) * (pw // BLOCK)
-    quantized = entropy.decode_mcu(payload, n_blocks)
+    keep = None if window is None else (pw // BLOCK, *window)
+    quantized = entropy.decode_mcu(payload, n_blocks, keep)
     return quantized, (ph, pw), offset + payload_len
 
 
@@ -231,12 +234,12 @@ def decode_sjpg_roi(blob: bytes, box: Tuple[int, int, int, int]) -> np.ndarray:
     """Decode only ``box`` = (left, upper, right, lower) of an SJPG blob.
 
     Equal bit for bit to ``decode_sjpg(blob)[upper:lower, left:right]``
-    (DESIGN.md §14). Every plane is entropy-decoded whole (DC prediction
-    runs through the entire plane, and all of the payload validation
-    stays), but dequantize, IDCT, upsampling, the plane copy and the
-    colour conversion run only on the blocks that cover the box; all of
-    those work per block or per pixel. A corrupt blob raises the same
-    :class:`CodecError` :func:`decode_sjpg` raises for it.
+    (DESIGN.md §14). Every plane is scanned whole (DC prediction runs
+    through the entire plane, and all of the payload validation stays),
+    but the AC scatter, dequantize, IDCT, upsampling, the plane copy and
+    the colour conversion run only on the blocks that cover the box. A
+    corrupt blob raises the same :class:`CodecError` :func:`decode_sjpg`
+    raises for it.
     """
     header = peek_header(blob)
     left, upper, right, lower = box
@@ -257,21 +260,21 @@ def decode_sjpg_roi(blob: bytes, box: Tuple[int, int, int, int]) -> np.ndarray:
 
     planes = []
     for channel in range(3):
-        quantized, (ph, pw), offset = _decode_plane_payload(blob, offset)
         is_chroma = channel > 0
         # Output pixels per plane pixel, along each axis.
         scale = 2 if is_chroma and header.subsampled else 1
+        span = BLOCK * scale  # output pixels per block edge
+        row0, row1 = upper // span, -(-lower // span)
+        col0, col1 = left // span, -(-right // span)
+        blocks, (ph, pw), offset = _decode_plane_payload(
+            blob, offset, (row0, row1, col0, col1)
+        )
         decoded = (min(ph * scale, header.height), min(pw * scale, header.width))
         if decoded != (header.height, header.width):
             raise CodecError(
                 f"corrupt SJPG: plane {channel} decodes to {decoded}, "
                 f"header says {(header.height, header.width)}"
             )
-        span = BLOCK * scale  # output pixels per block edge
-        row0, row1 = upper // span, -(-lower // span)
-        col0, col1 = left // span, -(-right // span)
-        blocks = quantized.reshape(ph // BLOCK, pw // BLOCK, BLOCK, BLOCK)
-        blocks = blocks[row0:row1, col0:col1].reshape(-1, BLOCK, BLOCK)
         coeffs = dct.dequantize_blocks(
             blocks, luma_table if channel == 0 else chroma_table
         )

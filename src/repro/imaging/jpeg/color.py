@@ -63,7 +63,9 @@ def ycc_rgb_convert(ycc: np.ndarray) -> np.ndarray:
     g = y - 0.344136 * cb - 0.714136 * cr
     b = y + 1.772 * cb
     rgb = np.stack([r, g, b], axis=-1)
-    return np.clip(np.round(rgb), 0, 255).astype(np.uint8)
+    np.rint(rgb, out=rgb)
+    np.clip(rgb, 0, 255, out=rgb)
+    return rgb.astype(np.uint8)
 
 
 @native(

@@ -93,6 +93,14 @@ def repeat_quant_tables(
     )
 
 
+def _to_pixels(spatial: np.ndarray) -> np.ndarray:
+    """Level-shift, round and clip a float IDCT output to uint8, in place."""
+    spatial += 128.0
+    np.rint(spatial, out=spatial)
+    np.clip(spatial, 0, 255, out=spatial)
+    return spatial.astype(np.uint8)
+
+
 @native(
     "forward_DCT",
     library=LIBJPEG,
@@ -121,7 +129,7 @@ def forward_dct(blocks: np.ndarray) -> np.ndarray:
 def jpeg_idct_islow(coeff_blocks: np.ndarray) -> np.ndarray:
     """Inverse 8x8 DCT; returns uint8 spatial blocks (level shift +128)."""
     spatial = _D8_T @ coeff_blocks.astype(np.float64) @ _D8
-    return np.clip(np.round(spatial + 128.0), 0, 255).astype(np.uint8)
+    return _to_pixels(spatial)
 
 
 @native(
@@ -132,7 +140,7 @@ def jpeg_idct_islow(coeff_blocks: np.ndarray) -> np.ndarray:
 def jpeg_idct_16x16(coeff_blocks: np.ndarray) -> np.ndarray:
     """Inverse DCT with fused 2x upscale: (n, 8, 8) -> (n, 16, 16) uint8."""
     spatial = _SYN16 @ coeff_blocks.astype(np.float64) @ _SYN16.T
-    return np.clip(np.round(spatial + 128.0), 0, 255).astype(np.uint8)
+    return _to_pixels(spatial)
 
 
 @native(

@@ -17,18 +17,20 @@ Block layout (little endian)::
 Every field is 3 bytes wide, so a payload is a flat sequence of 3-byte
 *cells*: one header cell per block followed by its AC cells. The default
 implementation exploits this to decode block-parallel with numpy — a
-single ``np.frombuffer`` view of all cells, a pointer-jumping scan that
-recovers every block-header offset in ``O(log n)`` vectorized passes, a
-cumulative-sum DC reconstruction, and one fancy-indexed un-zigzag scatter
-— the SIMD shape a production entropy codec would have. The original
-per-block scalar loop is retained behind :func:`entropy_mode` as the
-paper-fidelity reference: it is bit-compatible with the vectorized path
-(see ``tests/test_substrate_parity.py``) and reproduces the serial,
-branchy execution profile of real libjpeg that § V-D characterizes.
+linear walk over the header bytes (``payload[::3]``) that recovers every
+block-header offset, a single ``np.frombuffer`` view of all cells, a
+cumulative-sum DC reconstruction, and one fancy-indexed scatter straight
+to natural (un-zigzagged) order — the SIMD shape a production entropy
+codec would have. The original per-block scalar loop is retained behind
+:func:`entropy_mode` as the paper-fidelity reference: it is
+bit-compatible with the vectorized path (see
+``tests/test_substrate_parity.py``) and reproduces the serial, branchy
+execution profile of real libjpeg that § V-D characterizes.
 
 Both paths keep the observable profiling semantics identical: the same
 byte format, a ``jpeg_fill_bit_buffer`` call every ``_REFILL_PERIOD``
-MCUs with the same (offset, size) arguments, and a ``CodecError`` on
+MCUs with the same (offset, size) arguments while a recorder is attached
+(the vectorized path skips them otherwise), and a ``CodecError`` on
 truncated, corrupt, or over-long payloads (a payload with bytes left
 after the last block is rejected — trailing garbage would previously
 decode silently).
@@ -44,6 +46,7 @@ from typing import Iterator, List
 import numpy as np
 
 from repro.clib.costmodel import BRANCHY, MEMORY_BOUND
+from repro.clib.events import armed
 from repro.clib.registry import LIBJPEG, native
 from repro.imaging.jpeg.tables import BLOCK, UNZIGZAG, ZIGZAG
 from repro.errors import CodecError
@@ -60,6 +63,8 @@ _REFILL_PERIOD = 16
 # Worst-case bytes one refill window must cover: a full period of dense
 # blocks (header + 63 AC records each).
 _WORST_WINDOW = _REFILL_PERIOD * (_BLOCK_HEADER.size + 63 * _AC_DTYPE.itemsize)
+# Natural (row-major) position of each AC zigzag index 0..62.
+_AC_NATURAL = ZIGZAG[1:].astype(np.intp)
 
 _mode = threading.local()
 
@@ -200,75 +205,85 @@ def _decode_mcu_scalar(payload: bytes, n_blocks: int) -> np.ndarray:
     return out.reshape(n_blocks, BLOCK, BLOCK)
 
 
-def _block_starts(nnz_at: np.ndarray, n_cells: int, n_blocks: int) -> np.ndarray:
-    """Cell index of every block header, via pointer jumping.
+def _walk_block_starts(payload: bytes, n_blocks: int) -> "tuple[np.ndarray, int]":
+    """Cell index of every block header, and the cell after the last block.
 
-    ``jump[i] = i + 1 + nnz_at[i]`` is the next header if cell ``i`` were a
-    header; composing the jump table with itself doubles the number of
-    recovered block starts per pass, so the whole scan is ``O(log n)``
-    vectorized gathers instead of a per-block Python loop. Out-of-range
-    jumps are clamped to the absorbing sentinel ``n_cells``; a start that
-    lands on the sentinel means the payload ran out of header bytes.
+    A linear walk over the header bytes (``payload[::3]``): a header's
+    nnz says how many AC cells to skip to reach the next header.
     """
-    jump = np.minimum(
-        np.arange(n_cells, dtype=np.int64) + 1 + nnz_at, n_cells
-    )
-    jump = np.append(jump, n_cells)  # sentinel absorbs further jumps
-    starts = np.zeros(1, dtype=np.int64)
-    step = jump
-    while len(starts) < n_blocks:
-        starts = np.concatenate([starts, step[starts]])
-        if len(starts) >= n_blocks:
-            break
-        step = step[step]
-    return starts[:n_blocks]
+    n_cells = len(payload) // _CELL
+    heads = payload[::_CELL]
+    starts = [0] * n_blocks
+    cell = 0
+    for block in range(n_blocks):
+        if cell >= n_cells:
+            raise CodecError("truncated SJPG payload (block header)")
+        starts[block] = cell
+        cell += 1 + heads[cell]
+    if cell > n_cells:
+        raise CodecError("truncated SJPG payload (AC records)")
+    return np.array(starts, dtype=np.intp), cell
 
 
-def _decode_mcu_vectorized(payload: bytes, n_blocks: int) -> np.ndarray:
-    """Block-parallel decode: cell scan + cumsum DC + un-zigzag scatter."""
-    n_cells, leftover = divmod(len(payload), _CELL)
+def _kept_blocks(n_blocks: int, keep) -> np.ndarray:
+    """Raster-order block ids of ``keep = (cols, row0, row1, col0, col1)``."""
+    cols, row0, row1, col0, col1 = keep
+    grid = np.arange(n_blocks).reshape(-1, cols)
+    return grid[row0:row1, col0:col1].ravel()
+
+
+def _decode_mcu_vectorized(payload: bytes, n_blocks: int, keep=None) -> np.ndarray:
+    """Block-parallel decode: header walk + cumsum DC + natural-order scatter.
+
+    Every cell is validated and the DC prediction runs over every block;
+    with ``keep`` only the kept blocks' AC cells are scattered.
+    """
     if n_blocks == 0:
         if payload:
             raise CodecError(
                 f"trailing garbage after SJPG payload: {len(payload)} bytes"
             )
         return np.zeros((0, BLOCK, BLOCK), dtype=np.int16)
-    if n_cells == 0:
-        raise CodecError("truncated SJPG payload (block header)")
-    cells = np.frombuffer(payload, dtype=_CELL_DTYPE, count=n_cells)
-    nnz_at = cells["b"].astype(np.int64)
-    starts = _block_starts(nnz_at, n_cells, n_blocks)
-    if int(starts[-1]) >= n_cells:
-        raise CodecError("truncated SJPG payload (block header)")
-    nnz = nnz_at[starts]
-    end_cell = int(starts[-1] + 1 + nnz[-1])
-    if end_cell > n_cells:
-        raise CodecError("truncated SJPG payload (AC records)")
+    starts, end_cell = _walk_block_starts(payload, n_blocks)
     if end_cell * _CELL != len(payload):
         raise CodecError(
             f"trailing garbage after SJPG payload: "
             f"{len(payload) - end_cell * _CELL} bytes"
         )
 
-    # Preserve the refill cadence: the same jpeg_fill_bit_buffer call, with
-    # the same (offset, size) arguments, every _REFILL_PERIOD MCUs — so
-    # hardware profiles of the vectorized decoder keep the paper's refill
-    # pattern. The loop is over refill windows, not blocks.
-    for window_start in range(0, n_blocks, _REFILL_PERIOD):
-        jpeg_fill_bit_buffer(payload, int(starts[window_start]) * _CELL, _WORST_WINDOW)
+    # Preserve the refill cadence while observed: the same
+    # jpeg_fill_bit_buffer call, with the same (offset, size) arguments,
+    # every _REFILL_PERIOD MCUs — so hardware profiles of the vectorized
+    # decoder keep the paper's refill pattern. The loop is over refill
+    # windows, not blocks.
+    if armed():
+        for window_start in range(0, n_blocks, _REFILL_PERIOD):
+            jpeg_fill_bit_buffer(
+                payload, int(starts[window_start]) * _CELL, _WORST_WINDOW
+            )
 
-    values = cells["v"]
-    dc = np.cumsum(values[starts].astype(np.int64)).astype(np.int16)
-    ac_mask = np.ones(end_cell, dtype=bool)
-    ac_mask[starts] = False
-    block_id = np.repeat(np.arange(n_blocks), nnz)
-    indices = nnz_at[:end_cell][ac_mask] + 1
-    if indices.size and int(indices.max()) >= BLOCK * BLOCK:
+    # Contiguous copies of the two cell fields: gathers from the packed
+    # (unaligned, strided) field views are slower than the copy.
+    cells = np.frombuffer(payload, dtype=_CELL_DTYPE, count=end_cell)
+    index_at, values = cells["b"].copy(), cells["v"].copy()
+    # AC zigzag indices run 0..62; a header's nnz byte may hold more.
+    too_big = index_at >= BLOCK * BLOCK - 1
+    if np.count_nonzero(too_big) > np.count_nonzero(too_big.take(starts)):
         raise CodecError("corrupt SJPG payload (AC index out of range)")
-    zz = np.zeros((n_blocks, BLOCK * BLOCK), dtype=np.int16)
-    zz[block_id, indices] = values[:end_cell][ac_mask]
-    zz[:, 0] = dc
-    return zz[:, UNZIGZAG].reshape(n_blocks, BLOCK, BLOCK)
+    dc = np.cumsum(values.take(starts), dtype=np.int64).astype(np.int16)
+    nnz = index_at.take(starts).astype(np.intp)
+    if keep is not None:
+        kept = _kept_blocks(n_blocks, keep)
+        starts, nnz, dc = starts.take(kept), nnz.take(kept), dc.take(kept)
+    # Cell of every kept AC record: its block's header + 1 + rank in block.
+    ends = np.cumsum(nnz)
+    cell = np.arange(int(ends[-1]) if len(ends) else 0)
+    cell += np.repeat(starts + 1 - (ends - nnz), nnz)
+    out = np.zeros((len(dc), BLOCK * BLOCK), dtype=np.int16)
+    natural = _AC_NATURAL.take(index_at.take(cell))
+    out[np.repeat(np.arange(len(dc)), nnz), natural] = values.take(cell)
+    out[:, 0] = dc
+    return out.reshape(-1, BLOCK, BLOCK)
 
 
 def _block_starts_batch(
@@ -280,13 +295,13 @@ def _block_starts_batch(
 ) -> np.ndarray:
     """Every plane's block-header cell indices in one multi-seed scan.
 
-    The same pointer-jumping recurrence as :func:`_block_starts`, but
-    seeded at *every* plane's base cell simultaneously: planes with the
-    same block count form a ``(planes, blocks)`` matrix whose columns
-    double per pass, so the scan needs only ``O(log max_blocks_per_
-    plane)`` squarings of the shared jump table — the per-plane pass
-    count — instead of ``O(log total_blocks)`` for one chain threaded
-    through all planes. Sentinel-absorbed chains (truncated payloads)
+    A pointer-jumping recurrence (``jump[i] = i + 1 + nnz_at[i]``
+    composed with itself), seeded at *every* plane's base cell
+    simultaneously: planes with the same block count form a ``(planes,
+    blocks)`` matrix whose columns double per pass, so the scan needs
+    only ``O(log max_blocks_per_plane)`` squarings of the shared jump
+    table — the per-plane pass count — instead of ``O(log
+    total_blocks)`` for one chain threaded through all planes. Sentinel-absorbed chains (truncated payloads)
     surface as starts ``>= n_cells``; the caller validates.
     """
     total_blocks = int(first_block[-1])
@@ -379,13 +394,14 @@ def _decode_mcu_batch_vectorized(
     if not np.array_equal(plane_ends, base_cells[1:][with_blocks]):
         return fallback()
 
-    # The refill traffic, amortized: one jpeg_fill_bit_buffer call per
-    # plane payload instead of one per _REFILL_PERIOD blocks — the
-    # batched engine's usual once-per-batch treatment of simulated
-    # native calls (DESIGN.md §7/§9); the symbol set stays a subset of
-    # the per-image path's.
-    for payload in payloads:
-        jpeg_fill_bit_buffer(payload, 0, len(payload))
+    # The refill traffic while observed, amortized: one
+    # jpeg_fill_bit_buffer call per plane payload instead of one per
+    # _REFILL_PERIOD blocks — the batched engine's usual once-per-batch
+    # treatment of simulated native calls (DESIGN.md §7/§9); the symbol
+    # set stays a subset of the per-image path's.
+    if armed():
+        for payload in payloads:
+            jpeg_fill_bit_buffer(payload, 0, len(payload))
 
     nnz = nnz_at[starts]
     values = cells["v"]
@@ -412,11 +428,15 @@ def _decode_mcu_batch_vectorized(
     library=LIBJPEG,
     signature=BRANCHY,
 )
-def decode_mcu(payload, n_blocks) -> np.ndarray:
+def decode_mcu(payload, n_blocks, keep=None) -> np.ndarray:
     """Entropy-decode ``n_blocks`` blocks; returns (n, 8, 8) int16.
 
     Raises :class:`CodecError` on truncated, corrupt, or over-long
     payloads (any bytes remaining after the last block are rejected).
+
+    ROI form: ``keep = (cols, row0, row1, col0, col1)`` returns only the
+    blocks ``[row0:row1, col0:col1]`` of the ``cols``-wide block grid, in
+    raster order; the whole payload is still validated, with the same errors.
 
     Batched form: a *list* of payloads with a matching list of block
     counts decodes every plane in one block-parallel pass under this
@@ -438,8 +458,9 @@ def decode_mcu(payload, n_blocks) -> np.ndarray:
             )
         return _decode_mcu_batch_vectorized(list(payload), list(n_blocks))
     if _scalar_mode():
-        return _decode_mcu_scalar(payload, n_blocks)
-    return _decode_mcu_vectorized(payload, n_blocks)
+        out = _decode_mcu_scalar(payload, n_blocks)
+        return out if keep is None else out[_kept_blocks(n_blocks, keep)]
+    return _decode_mcu_vectorized(payload, n_blocks, keep)
 
 
 def decode_mcu_batch(payloads: List[bytes], n_blocks: List[int]) -> np.ndarray:

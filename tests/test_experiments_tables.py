@@ -138,24 +138,6 @@ class TestTable3:
         assert names == {"lotus", "scalene-like", "py-spy-like", "austin-like",
                          "torch-profiler-like"}
 
-    def test_lotus_lowest_overhead_of_heavy_tools(self, table3):
-        """Paper: ~0-2% for LotusTrace. Absolute numbers are noise on a
-        loaded single core (the bench measures them unloaded), so the
-        test asserts the ordering that Table III establishes."""
-        small = [row for row in table3.rows if row.dataset == "imagenet-small"]
-        lotus = next(row for row in small if row.profiler == "lotus")
-        heavy = {
-            row.profiler: row.wall_overhead_pct
-            for row in small
-            if row.profiler in ("scalene-like", "austin-like", "torch-profiler-like")
-        }
-        assert all(lotus.wall_overhead_pct < value for value in heavy.values())
-
-    def test_scalene_heaviest(self, table3):
-        small = [row for row in table3.rows if row.dataset == "imagenet-small"]
-        scalene = next(row for row in small if row.profiler == "scalene-like")
-        assert scalene.wall_overhead_pct == max(r.wall_overhead_pct for r in small)
-
     def test_austin_storage_dominates(self, table3):
         small = {row.profiler: row for row in table3.rows if row.dataset == "imagenet-small"}
         assert small["austin-like"].log_bytes > 10 * small["lotus"].log_bytes

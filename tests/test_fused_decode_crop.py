@@ -21,7 +21,7 @@ from repro.data.dataloader import DataLoader
 from repro.data.dataset import BlobImageDataset, pil_loader
 from repro.errors import CodecError, ImageError
 from repro.imaging.image import load_rgb_batch
-from repro.imaging.jpeg import codec
+from repro.imaging.jpeg import codec, entropy
 from repro.transforms import (
     Compose,
     Normalize,
@@ -130,6 +130,32 @@ def test_load_rgb_batch_hook_equals_convert_then_crop():
         np.testing.assert_array_equal(image.to_array(), pil_loader(blob).to_array())
 
 
+@pytest.mark.parametrize("mode", ["vectorized", "scalar"])
+def test_roi_entropy_equals_whole_decode_then_select(mode):
+    rng = np.random.default_rng(7)
+    with entropy.entropy_mode(mode):
+        for blob in BLOBS:
+            for (ph, pw), payload in codec._split_plane_payloads(
+                blob, codec.peek_header(blob)
+            ):
+                rows, cols = ph // 8, pw // 8
+                whole = entropy.decode_mcu(payload, rows * cols)
+                grid = whole.reshape(rows, cols, 8, 8)
+                windows = [(0, rows, 0, cols), (0, 1, 0, 1),
+                           (rows - 1, rows, cols - 1, cols)]
+                for _ in range(6):
+                    row0, row1 = sorted(rng.choice(rows + 1, 2, replace=False))
+                    col0, col1 = sorted(rng.choice(cols + 1, 2, replace=False))
+                    windows.append((int(row0), int(row1), int(col0), int(col1)))
+                for row0, row1, col0, col1 in windows:
+                    roi = entropy.decode_mcu(
+                        payload, rows * cols, (cols, row0, row1, col0, col1)
+                    )
+                    want = grid[row0:row1, col0:col1].reshape(-1, 8, 8)
+                    assert roi.dtype == np.int16
+                    np.testing.assert_array_equal(roi, want)
+
+
 # -- error parity ------------------------------------------------------------------
 
 
@@ -160,6 +186,31 @@ def with_short_luma_payload(blob, cut=3):
     )
 
 
+def with_luma_payload(blob, edit):
+    """``blob`` with its luma entropy payload replaced by ``edit(payload)``
+    and the container lengths kept consistent."""
+    ph, pw, length = PLANE_HEADER.unpack_from(blob, HEADER.size)
+    start = HEADER.size + PLANE_HEADER.size
+    payload = edit(bytearray(blob[start : start + length]))
+    return (
+        blob[: HEADER.size]
+        + PLANE_HEADER.pack(ph, pw, len(payload))
+        + bytes(payload)
+        + blob[start + length :]
+    )
+
+
+def bad_ac_index_in_last_block(payload):
+    """Point the first AC record of the last block that has one past 62."""
+    cell, last = 0, None
+    while cell * 3 < len(payload):
+        if payload[cell * 3]:
+            last = cell
+        cell += 1 + payload[cell * 3]
+    payload[(last + 1) * 3] = 63
+    return payload
+
+
 GOOD = encode(24, 24, seed=1)
 CORRUPT = {
     "bad-magic": with_header(GOOD, magic=b"nope"),
@@ -183,6 +234,35 @@ def test_corrupt_blob_raises_the_same_error(case):
     with pytest.raises(CodecError) as batch:
         load_rgb_batch([GOOD, blob], draw_boxes=lambda w, h: [(0, 0, 8, 8)] * len(w))
     assert str(batch.value) == str(oracle.value)
+
+
+# 64x64: an 8x8-block luma grid, so corruption at the end of the luma
+# payload lies in blocks far outside a box in the top-left block.
+WIDE = encode(64, 64, seed=2)
+OUTSIDE_BOX = {
+    "bad-ac-index": (
+        with_luma_payload(WIDE, bad_ac_index_in_last_block),
+        "AC index out of range",
+    ),
+    "truncated": (with_short_luma_payload(WIDE), "truncated SJPG payload"),
+    "trailing-garbage": (
+        with_luma_payload(WIDE, lambda p: p + b"\x00\x01\x00"),
+        "trailing garbage",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", ["vectorized", "scalar"])
+@pytest.mark.parametrize("case", sorted(OUTSIDE_BOX))
+def test_corruption_outside_the_box_raises_the_same_error(case, mode):
+    blob, message = OUTSIDE_BOX[case]
+    with entropy.entropy_mode(mode):
+        with pytest.raises(CodecError, match=message) as oracle:
+            codec.decode_sjpg(blob)
+        with pytest.raises(CodecError) as roi:
+            codec.decode_sjpg_roi(blob, (0, 0, 8, 8))
+    assert type(roi.value) is type(oracle.value)
+    assert str(roi.value) == str(oracle.value)
 
 
 def test_box_outside_image_rejected():
